@@ -1,7 +1,7 @@
 // Command medleyd serves the benchmark registry's transactional stores
 // over HTTP: POST /v1/batch executes a multi-key transaction through the
-// service pipeline (coalescing txpool, tick-batch execution, admission
-// control), GET /metrics exports the stack's counters, GET /healthz
+// service pipeline (coalescing txpool, arrival-driven batch execution,
+// admission control), GET /metrics exports the stack's counters, GET /healthz
 // reports liveness and role.
 //
 // With -cdc-shards > 0 (the default) the node carries a commit-ordered
@@ -17,7 +17,7 @@
 //
 // Usage:
 //
-//	medleyd -listen :7654 -system medley-hash@8 -pool 4096 -tick 1ms
+//	medleyd -listen :7654 -system medley-hash@8 -pool 4096
 //	medleyd -listen :7655 -system medley-hash@8 -follow http://127.0.0.1:7654 -promote-after 5
 package main
 
@@ -45,9 +45,7 @@ func main() {
 		buckets     = flag.Int("buckets", 1<<16, "hash buckets for hash-structured systems")
 		keyRange    = flag.Uint64("keyrange", 1<<20, "key range hint (sizes simulated NVM regions)")
 		pool        = flag.Int("pool", 4096, "txpool bound; arrivals beyond it are shed with 429")
-		tick        = flag.Duration("tick", time.Millisecond, "batch tick period")
-		batch       = flag.Int("batch", 0, "max requests drained per tick (0 = pool size)")
-		workers     = flag.Int("workers", 0, "executor goroutines per tick (0 = GOMAXPROCS)")
+		workers     = flag.Int("workers", 0, "executor goroutines a batch is split across (0 = GOMAXPROCS)")
 		groupcommit = flag.Bool("groupcommit", true,
 			"merge each worker chunk's requests into group commits (Medley systems; false commits each request individually)")
 		dedup = flag.Int("dedup", 4096,
@@ -90,8 +88,6 @@ func main() {
 
 	svcCfg := service.Config{
 		PoolSize:    *pool,
-		Tick:        *tick,
-		MaxBatch:    *batch,
 		Workers:     *workers,
 		DedupWindow: *dedup,
 	}
@@ -142,8 +138,8 @@ func main() {
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
 	cfg := svc.Config()
-	log.Printf("medleyd: serving %s on %s as %s (pool=%d tick=%v batch=%d workers=%d cdc-shards=%d)",
-		be.Name(), *listen, role, cfg.PoolSize, cfg.Tick, cfg.MaxBatch, cfg.Workers, *cdcShards)
+	log.Printf("medleyd: serving %s on %s as %s (pool=%d workers=%d cdc-shards=%d)",
+		be.Name(), *listen, role, cfg.PoolSize, cfg.Workers, *cdcShards)
 	if *follow != "" {
 		log.Printf("medleyd: following %s (max-lag=%d max-silence=%v promote-after=%d)",
 			*follow, *maxLag, *maxSilence, *promoteAfter)

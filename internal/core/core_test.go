@@ -2,7 +2,9 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -253,6 +255,116 @@ func TestRunUserError(t *testing.T) {
 	if o.Load() != 1 {
 		t.Fatalf("user-error return must abort; Load = %d, want 1", o.Load())
 	}
+}
+
+// TestRunDoomedBodyErrorNeverSurfaces pins Run against torn reads. NBTC
+// is not opaque: a body can load two cells on either side of another
+// transaction's commit and fail a check that holds in every committed
+// state. Such a body's reads are already stale when it returns, so Run
+// must abort with ErrTxAborted instead of surfacing the bogus error. The
+// invariant here is a == b; a writer moves both cells in one
+// transaction.
+func TestRunDoomedBodyErrorNeverSurfaces(t *testing.T) {
+	errTorn := errors.New("torn read: a != b")
+	mgr := NewTxManager()
+	a, b := NewCASObj[int](0), NewCASObj[int](0)
+	read := func(tx *Tx, between func()) func() error {
+		return func() error {
+			tx.OpStart()
+			va, wa := a.NbtcLoad(tx)
+			tx.AddToReadSet(wa)
+			between()
+			tx.OpStart()
+			vb, wb := b.NbtcLoad(tx)
+			tx.AddToReadSet(wb)
+			if va != vb {
+				return errTorn
+			}
+			return nil
+		}
+	}
+	write := func(tx *Tx) error {
+		return tx.RunRetry(func() error {
+			tx.OpStart()
+			v, _ := a.NbtcLoad(tx)
+			tx.OpStart()
+			if !a.NbtcCAS(tx, v, v+1, true, true) {
+				tx.Abort()
+			}
+			tx.OpStart()
+			if !b.NbtcCAS(tx, v, v+1, true, true) {
+				tx.Abort()
+			}
+			return nil
+		})
+	}
+
+	// Deterministic: the writer commits between the reader's two loads.
+	rtx, wtx := mgr.Register(), mgr.Register()
+	err := rtx.Run(read(rtx, func() {
+		if err := write(wtx); err != nil {
+			t.Fatalf("writer: %v", err)
+		}
+	}))
+	if !errors.Is(err, ErrTxAborted) {
+		t.Fatalf("reader across a commit: Run = %v, want ErrTxAborted", err)
+	}
+
+	// Stress: start-gated readers race one writer.
+	readers := 100 * runtime.GOMAXPROCS(0)
+	iters := 50
+	if testing.Short() {
+		iters = 10
+	}
+	start, stop := make(chan struct{}), make(chan struct{})
+	var writerWG, readerWG sync.WaitGroup
+	writerWG.Add(1)
+	go func() {
+		defer writerWG.Done()
+		tx := mgr.Register()
+		<-start
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := write(tx); err != nil {
+				t.Errorf("writer: %v", err)
+				return
+			}
+		}
+	}()
+	var aborts atomic.Int64
+	failures := make(chan error, readers)
+	readerWG.Add(readers)
+	for r := 0; r < readers; r++ {
+		go func() {
+			defer readerWG.Done()
+			tx := mgr.Register()
+			body := read(tx, runtime.Gosched)
+			<-start
+			for i := 0; i < iters; i++ {
+				switch err := tx.Run(body); {
+				case err == nil:
+				case errors.Is(err, ErrTxAborted):
+					aborts.Add(1)
+				default:
+					failures <- err
+					return
+				}
+			}
+		}()
+	}
+	close(start)
+	readerWG.Wait()
+	close(stop)
+	writerWG.Wait()
+	close(failures)
+	for err := range failures {
+		t.Fatalf("reader surfaced %v", err)
+	}
+	t.Logf("%d readers x %d runs: %d aborted on stale reads", readers, iters, aborts.Load())
 }
 
 func TestRunRepanicsForeignPanics(t *testing.T) {

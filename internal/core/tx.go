@@ -507,7 +507,11 @@ func (tx *Tx) finish(committed bool) error {
 // Run executes fn inside a transaction: Begin, fn, End. If fn calls
 // Tx.Abort the unwind is caught here and ErrTxAborted is returned. If fn
 // returns a non-nil error the transaction is aborted and that error is
-// returned. Run does not retry; see RunRetry.
+// returned — unless the reads fn acted on are already stale, in which
+// case the error may be an artifact of a torn snapshot (NBTC is not
+// opaque) and ErrTxAborted is returned instead, so a doomed transaction
+// never surfaces a failure it only saw by reading inconsistent state.
+// Run does not retry; see RunRetry.
 func (tx *Tx) Run(fn func() error) (err error) {
 	tx.Begin()
 	defer func() {
@@ -521,6 +525,9 @@ func (tx *Tx) Run(fn func() error) (err error) {
 		}
 	}()
 	if ferr := fn(); ferr != nil {
+		if !tx.ValidateReads() {
+			ferr = ErrTxAborted
+		}
 		tx.AbortNow()
 		return ferr
 	}

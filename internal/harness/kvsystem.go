@@ -514,7 +514,8 @@ func (w *kvWorker) ExecGroup(batches []kv.Batch, errs []error) {
 		// member under its own ticket with no way to tell afterwards which
 		// happened — and an unpublished committed ticket stalls the feed's
 		// contiguity drain forever. Leaders trade group-commit batching for
-		// a sound feed; DESIGN.md documents the trade.
+		// a sound feed; DESIGN.md ("Feed versus group commit") documents
+		// the trade.
 		for i := range batches {
 			_ = w.ExecBatch(batches[i].Ops, batches[i].Res)
 		}

@@ -250,7 +250,7 @@ func TestHTTPDriverStartBounded(t *testing.T) {
 func transferThroughFault(t *testing.T, window int) (bal1, bal2 uint64, st HTTPDriverStats) {
 	t.Helper()
 	svc := New(kvBackend(t, "medley-hash@2"), Config{
-		Tick: 200 * time.Microsecond, Workers: 2, DedupWindow: window,
+		Workers: 2, DedupWindow: window,
 	})
 	defer svc.Close()
 	ts := httptest.NewServer(Handler(svc))

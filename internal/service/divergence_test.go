@@ -64,7 +64,6 @@ func (m *seededMangler) mangle(shard int, entries []cdc.Entry) []cdc.Entry {
 
 func TestSeededFaultDivergenceDetectedAndClassed(t *testing.T) {
 	leader, lts := startNode(t, NodeConfig{FeedShards: 1})
-	_ = leader
 	mangler := &seededMangler{}
 	follower, _ := startNode(t, NodeConfig{
 		Follow:     lts.URL,
@@ -106,7 +105,7 @@ func TestSeededFaultDivergenceDetectedAndClassed(t *testing.T) {
 		return mangler.dropped && mangler.reorderd && st.Lag == 0 &&
 			st.Gaps >= 1 && st.Reordered >= 1
 	})
-	time.Sleep(30 * time.Millisecond)
+	waitCaughtUp(t, leader, follower)
 
 	// The follower's counters localize both faults.
 	st := follower.Follower().Stats()
@@ -146,7 +145,6 @@ func TestSeededFaultDivergenceDetectedAndClassed(t *testing.T) {
 // mangling the same pipeline verifies clean.
 func TestCleanReplicationZeroDivergence(t *testing.T) {
 	leader, lts := startNode(t, NodeConfig{FeedShards: 2})
-	_ = leader
 	follower, _ := startNode(t, NodeConfig{Follow: lts.URL, FeedShards: 2})
 	journal := harness.NewWireJournal()
 	for i := uint64(0); i < 200; i++ {
@@ -160,13 +158,7 @@ func TestCleanReplicationZeroDivergence(t *testing.T) {
 		}
 		journal.Commit(ops)
 	}
-	waitFor(t, 10*time.Second, "follower caught up", func() bool {
-		st := follower.Follower().Stats()
-		// Fewer entries than ops: deletes of absent keys are no-op
-		// commits and publish nothing.
-		return st.Ready && st.Lag == 0 && st.Applied >= 150
-	})
-	time.Sleep(30 * time.Millisecond)
+	waitCaughtUp(t, leader, follower)
 	snap := follower.Service().Backend().(harness.Snapshotter)
 	rc, tainted := harness.VerifyReplicaWire([]*harness.WireJournal{journal}, snap.StateSnapshot)
 	if rc.Violations() != 0 || tainted != 0 {

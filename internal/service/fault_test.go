@@ -35,12 +35,12 @@ func (e *gatedExec) ExecBatch(ops []kv.Op, res []kv.Result) error {
 // TestExpiredRequestsNeverExecute pins the deadline contract at its two
 // observable choke points: a context already past its deadline is
 // refused at admission, and a pooled request whose deadline passes
-// before the tick drain is answered ErrExpired without its ops ever
+// before the drain is answered ErrExpired without its ops ever
 // reaching the backend — while a live neighbor in the same batch still
 // executes.
 func TestExpiredRequestsNeverExecute(t *testing.T) {
 	be := &fakeBackend{}
-	s := New(be, Config{Workers: 1, Tick: time.Hour, PoolSize: 64})
+	s := newService(be, Config{Workers: 1, PoolSize: 64})
 	defer s.Close()
 
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Millisecond))
@@ -54,8 +54,8 @@ func TestExpiredRequestsNeverExecute(t *testing.T) {
 	live := &request{ops: oneOp(3), done: make(chan error, 1)}
 	s.pool <- dead
 	s.pool <- live
-	if got := s.drainTick(make([]*request, 0, 64)); got != 2 {
-		t.Fatalf("drainTick disposed of %d, want 2", got)
+	if got := s.drain(make([]*request, 0, 64)); got != 2 {
+		t.Fatalf("drain disposed of %d, want 2", got)
 	}
 	if err := <-dead.done; !errors.Is(err, ErrExpired) {
 		t.Fatalf("expired request: err = %v, want ErrExpired", err)
@@ -77,7 +77,7 @@ func TestExpiredRequestsNeverExecute(t *testing.T) {
 // of being answered "already done" by a request that never ran.
 func TestExpiredClaimAbandonedForRetry(t *testing.T) {
 	be := &fakeBackend{}
-	s := New(be, Config{Workers: 1, Tick: time.Hour, PoolSize: 64, DedupWindow: 8})
+	s := newService(be, Config{Workers: 1, PoolSize: 64, DedupWindow: 8})
 	defer s.Close()
 
 	mine, prior := s.window.claim("retry-me")
@@ -87,7 +87,7 @@ func TestExpiredClaimAbandonedForRetry(t *testing.T) {
 	dead := &request{ops: oneOp(5), done: make(chan error, 1),
 		deadline: time.Now().Add(-time.Millisecond), ent: mine}
 	s.pool <- dead
-	s.drainTick(make([]*request, 0, 64))
+	s.drain(make([]*request, 0, 64))
 	if err := <-dead.done; !errors.Is(err, ErrExpired) {
 		t.Fatalf("err = %v, want ErrExpired", err)
 	}
@@ -108,7 +108,7 @@ func TestExpiredClaimAbandonedForRetry(t *testing.T) {
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
-	s.drainTick(make([]*request, 0, 64))
+	s.drain(make([]*request, 0, 64))
 	if err := <-done; err != nil {
 		t.Fatalf("retry after expiry: %v", err)
 	}
@@ -126,7 +126,7 @@ func TestExpiredClaimAbandonedForRetry(t *testing.T) {
 // same retry re-executes.
 func TestDedupWindowHitAndEviction(t *testing.T) {
 	be := &fakeBackend{}
-	s := New(be, Config{Tick: 200 * time.Microsecond, DedupWindow: 2})
+	s := New(be, Config{DedupWindow: 2})
 	defer s.Close()
 	ctx := context.Background()
 
@@ -173,7 +173,7 @@ func TestDedupWindowHitAndEviction(t *testing.T) {
 // answers.
 func TestDedupRetryParksOnInflight(t *testing.T) {
 	be := &gatedBackend{started: make(chan struct{}, 1), release: make(chan struct{})}
-	s := New(be, Config{Tick: 200 * time.Microsecond, Workers: 1, DedupWindow: 8})
+	s := New(be, Config{Workers: 1, DedupWindow: 8})
 	defer s.Close()
 	ctx := context.Background()
 
@@ -209,7 +209,7 @@ func TestDedupRetryParksOnInflight(t *testing.T) {
 // whole point of the ID) executes fresh instead of finding a ghost entry.
 func TestDedupClaimAbandonedOnShed(t *testing.T) {
 	be := &fakeBackend{}
-	s := New(be, Config{PoolSize: 1, Tick: time.Hour, Workers: 1, DedupWindow: 8})
+	s := newService(be, Config{PoolSize: 1, Workers: 1, DedupWindow: 8})
 
 	blocker := &request{ops: oneOp(1), done: make(chan error, 1)}
 	s.pool <- blocker
@@ -233,7 +233,7 @@ func TestDedupClaimAbandonedOnShed(t *testing.T) {
 // answered twice. Run under -race this also pins the mu-gated admission.
 func TestCloseDrainsDeterministically(t *testing.T) {
 	be := &fakeBackend{}
-	s := New(be, Config{Tick: 50 * time.Microsecond, Workers: 2, PoolSize: 8})
+	s := New(be, Config{Workers: 2, PoolSize: 8})
 
 	const n = 64
 	errs := make([]error, n)

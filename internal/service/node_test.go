@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -17,9 +18,6 @@ import (
 func startNode(t *testing.T, cfg NodeConfig) (*Node, *httptest.Server) {
 	t.Helper()
 	cfg.Backend = kvBackend(t, "medley-hash@2")
-	if cfg.Service.Tick == 0 {
-		cfg.Service.Tick = 200 * time.Microsecond
-	}
 	if cfg.Service.Workers == 0 {
 		cfg.Service.Workers = 2
 	}
@@ -67,9 +65,28 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
+// waitCaughtUp waits until the follower's replay cursor has reached the
+// leader's feed head on every shard. The cursor advances only after the
+// entries are applied, so the follower's store then holds every write
+// the leader acknowledged before the call.
+func waitCaughtUp(t *testing.T, leader, follower *Node) {
+	t.Helper()
+	waitFor(t, 10*time.Second, "follower caught up with the leader's feed", func() bool {
+		f := follower.Follower()
+		if !f.Ready() {
+			return false
+		}
+		for s, h := range leader.Feed().Heads() {
+			if f.Applied(s) < h {
+				return false
+			}
+		}
+		return true
+	})
+}
+
 func TestNodeFollowerReplaysAndServesReads(t *testing.T) {
 	leader, lts := startNode(t, NodeConfig{})
-	_ = leader
 
 	// Preload some writes before the follower exists: bootstrap coverage.
 	for i := 0; i < 50; i++ {
@@ -94,12 +111,7 @@ func TestNodeFollowerReplaysAndServesReads(t *testing.T) {
 	}
 	postNodeBatch(t, lts.URL, BatchRequest{Ops: []WireOp{{Op: "delete", Key: 7}}})
 
-	waitFor(t, 5*time.Second, "follower caught up", func() bool {
-		return follower.Follower().Lag() == 0 && follower.Follower().Stats().Applied >= 30
-	})
-	// One more settle beat: lag counts feed entries, the last apply may
-	// still be completing its Submit.
-	time.Sleep(20 * time.Millisecond)
+	waitCaughtUp(t, leader, follower)
 
 	// Reads on the follower observe the replayed state.
 	resp, ok, _ := postNodeBatch(t, fts.URL, BatchRequest{Ops: []WireOp{
@@ -148,10 +160,7 @@ func TestNodePromoteServesWrites(t *testing.T) {
 		}})
 	}
 	follower, fts := startNode(t, NodeConfig{Follow: lts.URL})
-	waitFor(t, 5*time.Second, "follower caught up", func() bool {
-		return follower.Follower().Ready() && follower.Follower().Lag() == 0
-	})
-	time.Sleep(20 * time.Millisecond)
+	waitCaughtUp(t, leader, follower)
 
 	// Kill the leader, promote over HTTP. Node first: closing the
 	// service closes the feed, which terminates the follower's watch
@@ -277,10 +286,7 @@ func TestNodeFollowerResyncsAfterCompaction(t *testing.T) {
 			{Op: "put", Key: uint64(i % 32), Val: uint64(i)},
 		}})
 	}
-	waitFor(t, 10*time.Second, "follower converged", func() bool {
-		return follower.Follower().Ready() && follower.Follower().Lag() == 0
-	})
-	time.Sleep(30 * time.Millisecond)
+	waitCaughtUp(t, leader, follower)
 	// Spot-check convergence through the service pipelines.
 	lres := make([]kv.Result, 1)
 	fres := make([]kv.Result, 1)
@@ -295,5 +301,54 @@ func TestNodeFollowerResyncsAfterCompaction(t *testing.T) {
 		if lres[0] != fres[0] {
 			t.Fatalf("key %d diverged: leader %+v follower %+v", k, lres[0], fres[0])
 		}
+	}
+}
+
+// groupShare returns the svc_group_share gauge and whether it was
+// exported.
+func groupShare(s *Service) (float64, bool) {
+	for _, g := range s.Gauges() {
+		if g.Name == "svc_group_share" {
+			return g.Value, true
+		}
+	}
+	return 0, false
+}
+
+// TestNodeWithFeedReportsNoGroupShare pins svc_group_share to merged
+// commits rather than group hand-offs: a node's feed makes the executor
+// commit every member alone, so its share is 0 however many chunks were
+// handed to ExecGroup, while the same white-box chunk on a feedless
+// service merges and reads 1.
+func TestNodeWithFeedReportsNoGroupShare(t *testing.T) {
+	n, _ := startNode(t, NodeConfig{})
+	svc := n.Service()
+	var wg sync.WaitGroup
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				if err := svc.Submit(oneOp(uint64(g*100+i)), make([]kv.Result, 1)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if share, ok := groupShare(svc); !ok || share != 0 {
+		t.Errorf("node with feed: svc_group_share = %v (exported %v), want 0", share, ok)
+	}
+	t.Logf("hand-offs to ExecGroup: %d", svc.grouped.Load())
+
+	s := newService(kvBackend(t, "medley-hash@2"), Config{Workers: 1})
+	defer s.Close()
+	for i := uint64(0); i < 4; i++ {
+		s.pool <- &request{ops: oneOp(i), res: make([]kv.Result, 1), done: make(chan error, 1)}
+	}
+	s.drain(nil)
+	if share, ok := groupShare(s); !ok || share != 1 {
+		t.Errorf("feedless merged chunk: svc_group_share = %v (exported %v), want 1", share, ok)
 	}
 }

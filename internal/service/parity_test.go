@@ -43,7 +43,7 @@ func TestDriverParityEmitsSchemaValidReports(t *testing.T) {
 			return harness.NewInProcDriver(sys.(harness.ExecutorSystem)), func() {}
 		},
 		"http": func(t *testing.T) (harness.Driver, func()) {
-			svc := New(kvBackend(t, "medley-hash@2"), Config{Tick: 200 * time.Microsecond, Workers: 4})
+			svc := New(kvBackend(t, "medley-hash@2"), Config{Workers: 4})
 			ts := httptest.NewServer(Handler(svc))
 			return NewHTTPDriver(ts.URL), func() {
 				ts.Close()

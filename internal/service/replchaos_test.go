@@ -21,7 +21,7 @@ func TestRunReplicaChaosFailover(t *testing.T) {
 		// bootstrap snapshot scans too slow for the race detector on small
 		// runners.
 		SystemOpts: harness.SystemOpts{Buckets: 1 << 12, KeyRange: 1 << 12},
-		Service:    Config{Tick: 200 * time.Microsecond, Workers: 2, DedupWindow: 4096},
+		Service:    Config{Workers: 2, DedupWindow: 4096},
 		Client:     HTTPDriverConfig{Deadline: 2 * time.Second, RetryBudget: -1},
 		FeedShards: 2,
 		Failovers:  2,
@@ -69,7 +69,7 @@ func TestRunReplicaChaosLag(t *testing.T) {
 	res, err := RunReplicaChaos(ReplicaChaosConfig{
 		System:       "medley-hash@2",
 		SystemOpts:   harness.SystemOpts{Buckets: 1 << 12, KeyRange: 1 << 12},
-		Service:      Config{Tick: 200 * time.Microsecond, Workers: 2, DedupWindow: 4096},
+		Service:      Config{Workers: 2, DedupWindow: 4096},
 		Client:       HTTPDriverConfig{Deadline: 2 * time.Second, RetryBudget: -1},
 		FeedShards:   2,
 		MaxLag:       8,

@@ -49,9 +49,9 @@ func postBatch(t *testing.T, url string, body string) (*http.Response, []byte) {
 // reader clients fetch both balances in one transaction through the HTTP
 // driver. Every observed sum must equal the initial total — a single
 // deviation means a reader saw a half-applied transfer through the full
-// network path (JSON decode, txpool, tick batch, executor).
+// network path (JSON decode, txpool, dispatcher, executor).
 func TestHTTPTransferAtomicity(t *testing.T) {
-	svc := New(kvBackend(t, "medley-hash@2"), Config{Tick: 200 * time.Microsecond, Workers: 4})
+	svc := New(kvBackend(t, "medley-hash@2"), Config{Workers: 4})
 	defer svc.Close()
 	ts := httptest.NewServer(Handler(svc))
 	defer ts.Close()
@@ -149,7 +149,7 @@ func TestHTTPTransferAtomicity(t *testing.T) {
 // harness.ErrOverload so open-loop accounting classifies it as shed.
 func TestHTTPShedMapsTo429AndErrOverload(t *testing.T) {
 	be := &fakeBackend{}
-	s := New(be, Config{PoolSize: 1, Tick: time.Hour, Workers: 1})
+	s := newService(be, Config{PoolSize: 1, Workers: 1})
 	ts := httptest.NewServer(Handler(s))
 	defer ts.Close()
 
@@ -183,9 +183,9 @@ func TestHTTPShedMapsTo429AndErrOverload(t *testing.T) {
 
 // TestShedCarriesRetryAfter pins the server half of the backoff hint:
 // every 429 carries a Retry-After header derived from the pool backlog —
-// fractional seconds, at least one tick, at most a second.
+// fractional seconds, at least a millisecond, at most a second.
 func TestShedCarriesRetryAfter(t *testing.T) {
-	s := New(&fakeBackend{}, Config{PoolSize: 1, Tick: time.Hour, Workers: 1})
+	s := newService(&fakeBackend{}, Config{PoolSize: 1, Workers: 1})
 	ts := httptest.NewServer(Handler(s))
 	defer ts.Close()
 
@@ -289,7 +289,7 @@ func TestHTTPDriverHonorsRetryAfter(t *testing.T) {
 // unknown verbs, self-transfers and oversized batches are all refused
 // before admission.
 func TestHTTPValidation(t *testing.T) {
-	svc := New(&fakeBackend{}, Config{Tick: 200 * time.Microsecond})
+	svc := New(&fakeBackend{}, Config{})
 	defer svc.Close()
 	ts := httptest.NewServer(Handler(svc))
 	defer ts.Close()
@@ -326,7 +326,7 @@ func TestHTTPValidation(t *testing.T) {
 
 // TestMetricsAndHealthz pins the observability surface's shape.
 func TestMetricsAndHealthz(t *testing.T) {
-	svc := New(kvBackend(t, "medley-hash@2"), Config{Tick: 200 * time.Microsecond})
+	svc := New(kvBackend(t, "medley-hash@2"), Config{})
 	defer svc.Close()
 	ts := httptest.NewServer(Handler(svc))
 	defer ts.Close()

@@ -1,16 +1,18 @@
 // Package service is medleyd's engine: a network service layer that turns
 // the NBTC transactional store into a multi-key request/response system.
 //
-// The pipeline is txpool → tick → workers. Requests land in a bounded
-// transaction pool (one channel: the bound is the admission control, the
-// channel order is the FIFO fairness guarantee). A tick loop drains the
-// pool in batches — coalescing whatever arrived during the tick into one
-// scheduling decision — and splits each batch into contiguous chunks
+// The pipeline is txpool → dispatcher → workers. Requests land in a
+// bounded transaction pool (one channel: the bound is the admission
+// control, the channel order is the FIFO fairness guarantee). One
+// dispatcher blocks until a request arrives, drains whatever is queued
+// behind it into a batch, and splits the batch into contiguous chunks
 // executed by persistent worker goroutines, each request as its own
 // atomic transaction with a per-request promise carrying the result back
-// to the submitting handler. When execution falls behind the arrival
-// rate the pool fills and Submit sheds instead of queueing without bound:
-// overload surfaces as fast 429s, not as collapse.
+// to the submitter. Batching is arrival-driven: at low load a request
+// runs as soon as it arrives; under load, requests that queued while one
+// batch executed coalesce into the next. When execution falls behind
+// arrivals the pool fills and Submit sheds instead of queueing without
+// bound: overload surfaces as fast 429s, not as collapse.
 //
 // The layer deliberately adds no second concurrency control: atomicity
 // and strict serializability come entirely from the store's transactions
@@ -54,8 +56,8 @@ var ErrShed = errors.New("service: overloaded, request shed")
 var ErrClosed = errors.New("service: closed")
 
 // ErrExpired is returned by Submit when the request's deadline passed
-// before execution began: the request was dropped at admission, in the
-// tick loop, or by the worker — never executed, so it is always safe to
+// before execution began: the request was dropped at admission, by the
+// dispatcher, or by the worker — never executed, so it is always safe to
 // retry. HTTP maps it to 504.
 var ErrExpired = errors.New("service: deadline expired before execution")
 
@@ -64,16 +66,11 @@ type Config struct {
 	// PoolSize bounds the txpool; arrivals beyond it are shed (default
 	// 4096).
 	PoolSize int
-	// Tick is the batch period: how long arrivals coalesce before a
-	// drain (default 1ms). Shorter ticks trade batching efficiency for
-	// lower queueing latency.
+	// Tick is ignored: requests are dispatched as they arrive, never on
+	// a timer. The field remains so existing configurations compile.
 	Tick time.Duration
-	// MaxBatch caps how many requests one tick drains (default
-	// PoolSize). A tick that overruns simply delays the next: ticks
-	// never overlap.
-	MaxBatch int
-	// Workers is the number of executor goroutines a tick's batch is
-	// split across (default GOMAXPROCS).
+	// Workers is the number of executor goroutines a batch is split
+	// across (default GOMAXPROCS).
 	Workers int
 	// DedupWindow bounds the completed-request window that answers
 	// idempotent retries (requests carrying an ID): the outcomes of the
@@ -100,12 +97,6 @@ func (c Config) withDefaults() Config {
 	if c.PoolSize <= 0 {
 		c.PoolSize = 4096
 	}
-	if c.Tick <= 0 {
-		c.Tick = time.Millisecond
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = c.PoolSize
-	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -114,7 +105,7 @@ func (c Config) withDefaults() Config {
 
 // request is one admitted transaction: its operations, the caller's
 // result slice, and the promise the executing worker fulfills. deadline
-// (when non-zero) is checked at admission, at tick drain, and once more
+// (when non-zero) is checked at admission, at drain, and once more
 // by the worker just before execution; ent (when non-nil) is the
 // request's claim in the dedup window, settled with the outcome.
 type request struct {
@@ -130,7 +121,7 @@ func (r *request) expired(now time.Time) bool {
 	return !r.deadline.IsZero() && now.After(r.deadline)
 }
 
-// chunk is one worker's contiguous slice of a tick's batch.
+// chunk is one worker's contiguous slice of a batch.
 type chunk struct {
 	reqs []*request
 	wg   *sync.WaitGroup
@@ -152,8 +143,8 @@ type Service struct {
 	// mu gates admission against Close: Submit holds the read side across
 	// the closed check and the pool send, Close takes the write side to
 	// flip closed. After Close's critical section, no Submit can still be
-	// between its check and its send, so the tick loop's final drains see
-	// every admitted request — no promise is left unresolved.
+	// between its check and its send, so Close's final drains see every
+	// admitted request — no promise is left unresolved.
 	mu     sync.RWMutex
 	closed bool
 
@@ -163,15 +154,25 @@ type Service struct {
 	errored   atomic.Uint64 // requests whose execution failed
 	expired   atomic.Uint64 // requests dropped, unexecuted, at their deadline
 	dedupHits atomic.Uint64 // retries answered from the dedup window
-	ticks     atomic.Uint64 // ticks that drained at least one request
-	batches   atomic.Uint64 // batches dispatched (== non-empty ticks)
+	batches   atomic.Uint64 // batches dispatched
 	batched   atomic.Uint64 // requests dispatched inside batches
 	grouped   atomic.Uint64 // requests handed to the group-commit path
+	perReqNs  atomic.Int64  // EWMA (weight 1/8) of batch wall ns per request
 }
 
 // New builds and starts the pipeline over be: backend maintenance, the
-// worker executors, and the tick loop.
+// worker executors, and the dispatcher.
 func New(be Backend, cfg Config) *Service {
+	s := newService(be, cfg)
+	s.loopWG.Add(1)
+	go s.dispatch()
+	return s
+}
+
+// newService is New without the dispatcher: backend maintenance and
+// workers run, but nothing drains the pool until drain is called by hand
+// or Close drains it.
+func newService(be Backend, cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	s := &Service{
 		be:     be,
@@ -188,8 +189,6 @@ func New(be Backend, cfg Config) *Service {
 		s.workWG.Add(1)
 		go s.worker(ch)
 	}
-	s.loopWG.Add(1)
-	go s.tickLoop()
 	return s
 }
 
@@ -212,7 +211,7 @@ func (s *Service) Submit(ops []kv.Op, res []kv.Result) error {
 //
 // ctx's deadline, when set, bounds the request end to end: a request
 // whose deadline passes before execution begins is dropped — at
-// admission, at tick drain, or by the worker immediately before the
+// admission, at drain, or by the worker immediately before the
 // transaction would start — and answered with ErrExpired. Expired
 // requests are never executed, so retrying one is always safe. A request
 // whose execution has already started runs to completion regardless
@@ -294,38 +293,30 @@ func (s *Service) finishExpired(r *request) {
 	r.done <- ErrExpired
 }
 
-// tickLoop drains the pool once per tick. Dispatch is synchronous — the
-// loop waits for the batch to finish before the next drain — so a tick's
-// batch is bounded and execution backpressure propagates to the pool
-// (and from there to admission) instead of to an unbounded work queue.
-func (s *Service) tickLoop() {
+// dispatch blocks until a request arrives, then drains it together with
+// whatever is already queued behind it. Dispatch is synchronous — the
+// loop waits for the batch to finish before receiving again — so a batch
+// is bounded and execution backpressure propagates to the pool (and from
+// there to admission) instead of to an unbounded work queue.
+func (s *Service) dispatch() {
 	defer s.loopWG.Done()
-	t := time.NewTicker(s.cfg.Tick)
-	defer t.Stop()
-	batch := make([]*request, 0, s.cfg.MaxBatch)
+	batch := make([]*request, 0, s.cfg.PoolSize)
 	for {
 		select {
 		case <-s.stopCh:
-			// Final drains: closed is already set, so no new request can
-			// be admitted; loop until the pool is empty so every admitted
-			// request is answered.
-			for s.drainTick(batch[:0]) > 0 {
-			}
-			for _, ch := range s.workers {
-				close(ch)
-			}
 			return
-		case <-t.C:
-			s.drainTick(batch[:0])
+		case r := <-s.pool:
+			s.drain(append(batch[:0], r))
 		}
 	}
 }
 
-// drainTick drains up to MaxBatch pooled requests and executes them,
-// returning how many it disposed of (dispatched or expired).
-func (s *Service) drainTick(batch []*request) int {
+// drain tops batch up from the pool to at most PoolSize requests and
+// executes them, returning how many it disposed of (dispatched or
+// expired).
+func (s *Service) drain(batch []*request) int {
 drain:
-	for len(batch) < s.cfg.MaxBatch {
+	for len(batch) < s.cfg.PoolSize {
 		select {
 		case r := <-s.pool:
 			batch = append(batch, r)
@@ -353,7 +344,6 @@ drain:
 	if len(batch) == 0 {
 		return drained
 	}
-	s.ticks.Add(1)
 	s.batches.Add(1)
 	s.batched.Add(uint64(len(batch)))
 	// Contiguous chunks, round-robin over workers: request order within a
@@ -371,6 +361,11 @@ drain:
 		s.workers[(i/per)%n] <- chunk{reqs: batch[i:end], wg: &wg}
 	}
 	wg.Wait()
+	sample := int64(time.Since(now)) / int64(len(batch))
+	if old := s.perReqNs.Load(); old != 0 {
+		sample = old + (sample-old)/8
+	}
+	s.perReqNs.Store(sample)
 	return drained
 }
 
@@ -394,7 +389,7 @@ func (s *Service) worker(ch chan chunk) {
 	var live []*request
 	for c := range ch {
 		// Last deadline check, immediately before execution: a request can
-		// expire between the tick drain and its worker slot, and once the
+		// expire between the drain and its worker slot, and once the
 		// transaction starts it is not cancellable — this is the final
 		// point where "expired" can still mean "never executed".
 		now := time.Now()
@@ -435,20 +430,13 @@ func (s *Service) worker(ch chan chunk) {
 }
 
 // RetryAfter estimates how long an overloaded client should wait before
-// retrying: the time to drain the current pool occupancy at one MaxBatch
-// per tick, clamped to [Tick, 1s]. The HTTP layer sends it with every
+// retrying: the current pool occupancy times the measured per-request
+// drain time, clamped to [1ms, 1s]. The HTTP layer sends it with every
 // 429 so clients back off proportionally to the actual backlog instead
 // of guessing.
 func (s *Service) RetryAfter() time.Duration {
-	ticks := (len(s.pool) + s.cfg.MaxBatch - 1) / s.cfg.MaxBatch
-	if ticks < 1 {
-		ticks = 1
-	}
-	d := time.Duration(ticks) * s.cfg.Tick
-	if d > time.Second {
-		d = time.Second
-	}
-	return d
+	d := time.Duration(s.perReqNs.Load() * int64(len(s.pool)))
+	return min(max(d, time.Millisecond), time.Second)
 }
 
 // Close drains the pipeline and stops the backend. The drain is
@@ -457,7 +445,7 @@ func (s *Service) RetryAfter() time.Duration {
 // gets ErrClosed — the mu write lock below cannot be taken while any
 // Submit sits between its closed check and its pool send, so once it is
 // held the pool holds the complete set of outstanding requests and the
-// tick loop's final drains answer all of them.
+// final drains below answer all of them.
 func (s *Service) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -468,6 +456,11 @@ func (s *Service) Close() {
 	s.mu.Unlock()
 	close(s.stopCh)
 	s.loopWG.Wait()
+	for s.drain(nil) > 0 {
+	}
+	for _, ch := range s.workers {
+		close(ch)
+	}
 	s.workWG.Wait()
 	if s.stopBE != nil {
 		s.stopBE()
@@ -489,7 +482,6 @@ func (s *Service) MetricsSnapshot() []harness.Metric {
 		{Name: "svc_errors", Value: s.errored.Load()},
 		{Name: "svc_expired", Value: s.expired.Load()},
 		{Name: "svc_dedup_hits", Value: s.dedupHits.Load()},
-		{Name: "svc_ticks", Value: s.ticks.Load()},
 		{Name: "svc_batches", Value: s.batches.Load()},
 		{Name: "svc_batched_txns", Value: s.batched.Load()},
 		{Name: "svc_grouped_txns", Value: s.grouped.Load()},
@@ -521,7 +513,13 @@ func (s *Service) Gauges() []harness.Gauge {
 	accepted, shed := s.accepted.Load(), s.shed.Load()
 	add("svc_shed_rate", shed, accepted+shed)
 	add("svc_batch_coalesce", s.batched.Load(), s.batches.Load())
-	add("svc_group_share", s.grouped.Load(), s.executed.Load()+s.errored.Load())
+	// Merged commits, not group hand-offs: the executor falls back to
+	// solo commits whenever a feed is attached (kvWorker.ExecGroup).
+	if gs, ok := s.be.(harness.GroupStatser); ok {
+		if _, grouped, _, ok := gs.GroupStats(); ok {
+			add("svc_group_share", grouped, s.executed.Load()+s.errored.Load())
+		}
+	}
 	add("svc_expired_share", s.expired.Load(),
 		s.executed.Load()+s.errored.Load()+s.expired.Load())
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
@@ -551,5 +549,5 @@ func validateOps(ops []kv.Op) error {
 // MaxOpsPerBatch bounds one request's operation count (after transfer
 // expansion). Transactions are meant to be short (the paper's
 // microbenchmarks run 1-10 ops); the bound keeps one request from
-// monopolizing a tick.
+// monopolizing a batch.
 const MaxOpsPerBatch = 1024

@@ -52,14 +52,15 @@ func oneOp(key uint64) []kv.Op {
 	return []kv.Op{{Kind: kv.OpPut, Key: key, Val: key}}
 }
 
-// TestTickCoalescesAndPreservesFIFO pins the pipeline's scheduling
-// contract: everything pooled when a tick fires drains as ONE batch (one
+// TestDrainCoalescesAndPreservesFIFO pins the pipeline's scheduling
+// contract: everything pooled when a drain starts runs as ONE batch (one
 // scheduling decision), and with a single worker the execution order is
 // exactly pool (FIFO) order. White-box: the pool is filled directly and
-// the tick forced by hand, so the test is deterministic.
-func TestTickCoalescesAndPreservesFIFO(t *testing.T) {
+// the drain run by hand on a service with no dispatcher, so the test is
+// deterministic.
+func TestDrainCoalescesAndPreservesFIFO(t *testing.T) {
 	be := &fakeBackend{}
-	s := New(be, Config{Workers: 1, Tick: time.Hour, PoolSize: 64})
+	s := newService(be, Config{Workers: 1, PoolSize: 64})
 	defer s.Close()
 
 	const n = 10
@@ -69,8 +70,8 @@ func TestTickCoalescesAndPreservesFIFO(t *testing.T) {
 		s.pool <- r
 		reqs = append(reqs, r)
 	}
-	if got := s.drainTick(make([]*request, 0, 64)); got != n {
-		t.Fatalf("drainTick dispatched %d, want %d", got, n)
+	if got := s.drain(make([]*request, 0, 64)); got != n {
+		t.Fatalf("drain dispatched %d, want %d", got, n)
 	}
 	for i, r := range reqs {
 		if err := <-r.done; err != nil {
@@ -95,10 +96,10 @@ func TestTickCoalescesAndPreservesFIFO(t *testing.T) {
 }
 
 // TestSubmitRoundTrip drives the public path end to end: concurrent
-// Submits through a running tick loop, results filled per request.
+// Submits through a running dispatcher, results filled per request.
 func TestSubmitRoundTrip(t *testing.T) {
 	be := &fakeBackend{}
-	s := New(be, Config{Tick: 200 * time.Microsecond, Workers: 2})
+	s := New(be, Config{Workers: 2})
 	defer s.Close()
 
 	const n = 64
@@ -131,7 +132,7 @@ func TestSubmitRoundTrip(t *testing.T) {
 // drains them), and a closed service answers ErrClosed.
 func TestShedOnOverflow(t *testing.T) {
 	be := &fakeBackend{}
-	s := New(be, Config{PoolSize: 1, Tick: time.Hour, Workers: 1})
+	s := newService(be, Config{PoolSize: 1, Workers: 1})
 
 	admitted := make(chan error, 1)
 	go func() { admitted <- s.Submit(oneOp(1), nil) }()
@@ -224,7 +225,7 @@ func (e *groupExec) ExecGroup(batches []kv.Batch, errs []error) {
 // requests that took the group path.
 func TestWorkerUsesGroupExecutor(t *testing.T) {
 	be := &groupBackend{}
-	s := New(be, Config{Workers: 1, Tick: time.Hour, PoolSize: 64})
+	s := newService(be, Config{Workers: 1, PoolSize: 64})
 	defer s.Close()
 
 	keys := []uint64{1, groupFailKey, 3}
@@ -234,8 +235,8 @@ func TestWorkerUsesGroupExecutor(t *testing.T) {
 		s.pool <- r
 		reqs = append(reqs, r)
 	}
-	if got := s.drainTick(make([]*request, 0, 64)); got != len(keys) {
-		t.Fatalf("drainTick dispatched %d, want %d", got, len(keys))
+	if got := s.drain(make([]*request, 0, 64)); got != len(keys) {
+		t.Fatalf("drain dispatched %d, want %d", got, len(keys))
 	}
 	for i, r := range reqs {
 		err := <-r.done
@@ -269,7 +270,7 @@ func TestWorkerUsesGroupExecutor(t *testing.T) {
 // shape must stay encodable (encoding/json rejects NaN, so one bad gauge
 // would break the endpoint, silently with json.Encoder).
 func TestFreshServiceGaugesFinite(t *testing.T) {
-	s := New(&fakeBackend{}, Config{Tick: time.Hour})
+	s := newService(&fakeBackend{}, Config{})
 	defer s.Close()
 	for _, g := range s.Gauges() {
 		if math.IsNaN(g.Value) || math.IsInf(g.Value, 0) {
@@ -292,7 +293,7 @@ func TestFreshServiceGaugesFinite(t *testing.T) {
 // counters.
 func TestGaugesDeriveRatios(t *testing.T) {
 	be := &fakeBackend{}
-	s := New(be, Config{Tick: 200 * time.Microsecond})
+	s := New(be, Config{})
 	defer s.Close()
 	for i := 0; i < 8; i++ {
 		if err := s.Submit(oneOp(uint64(i)), nil); err != nil {
@@ -331,7 +332,7 @@ func TestGaugesDeriveRatios(t *testing.T) {
 // and the merged list stays name-sorted (the wire contract since the
 // backend merge landed).
 func TestMetricsMergeDedupCounters(t *testing.T) {
-	s := New(&fakeBackend{}, Config{Tick: 200 * time.Microsecond, DedupWindow: 1})
+	s := New(&fakeBackend{}, Config{DedupWindow: 1})
 	defer s.Close()
 
 	// claim+complete, then a same-ID retry (window hit).
@@ -409,5 +410,126 @@ func TestDriverMetricsSnapshotExportsBreakerState(t *testing.T) {
 		if m.Name == "drv_breaker_open" && m.Value != 1 {
 			t.Error("breaker state not exported after consecutive transport failures")
 		}
+	}
+}
+
+// slowBackend's executors sleep for delay per request, so a drain has a
+// measurable per-request cost; a zero delay makes them instant again.
+type slowBackend struct {
+	fakeBackend
+	delay atomic.Int64 // nanoseconds per ExecBatch
+}
+
+func (b *slowBackend) NewExecutor() kv.Executor { return &slowExec{b: b} }
+
+type slowExec struct{ b *slowBackend }
+
+func (e *slowExec) ExecBatch(ops []kv.Op, res []kv.Result) error {
+	time.Sleep(time.Duration(e.b.delay.Load()))
+	fe := fakeExec{b: &e.b.fakeBackend}
+	return fe.ExecBatch(ops, res)
+}
+
+// TestRetryAfterGrowsWithBacklog pins the drain-rate hint: with no
+// measurement and an empty pool it sits at the 1ms floor; once a batch
+// has measured the per-request drain time, the hint scales with pool
+// occupancy and never exceeds a second.
+func TestRetryAfterGrowsWithBacklog(t *testing.T) {
+	be := &slowBackend{}
+	s := newService(be, Config{Workers: 1, PoolSize: 1024})
+	defer s.Close()
+	if got := s.RetryAfter(); got != time.Millisecond {
+		t.Fatalf("unmeasured RetryAfter = %v, want the 1ms floor", got)
+	}
+
+	be.delay.Store(int64(200 * time.Microsecond))
+	for i := uint64(0); i < 10; i++ {
+		s.pool <- &request{ops: oneOp(i), done: make(chan error, 1)}
+	}
+	s.drain(nil)
+	be.delay.Store(0)
+	if per := time.Duration(s.perReqNs.Load()); per < 200*time.Microsecond {
+		t.Fatalf("measured %v per request, want >= the executor's 200µs", per)
+	}
+
+	var prev time.Duration
+	for _, backlog := range []int{5, 50, 500} {
+		for len(s.pool) < backlog {
+			s.pool <- &request{ops: oneOp(1), done: make(chan error, 1)}
+		}
+		got := s.RetryAfter()
+		if got <= prev || got > time.Second {
+			t.Fatalf("backlog %d: RetryAfter = %v, want in (%v, 1s]", backlog, got, prev)
+		}
+		prev = got
+	}
+}
+
+// TestLowLoadDispatchesOnArrival pins arrival-driven dispatch: a
+// sequential caller is served as soon as its request lands, so 1000
+// back-to-back Submits finish far faster than any per-request timer
+// wait would allow (a 1ms batch period needs at least a second).
+func TestLowLoadDispatchesOnArrival(t *testing.T) {
+	be := &fakeBackend{}
+	s := New(be, Config{})
+	defer s.Close()
+
+	const n = 1000
+	start := time.Now()
+	for i := uint64(0); i < n; i++ {
+		if err := s.Submit(oneOp(i), nil); err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+	}
+	if el := time.Since(start); el > 500*time.Millisecond {
+		t.Fatalf("%d sequential submits took %v, want < 500ms", n, el)
+	}
+	if got := s.batched.Load(); got != n {
+		t.Errorf("batched = %d, want %d", got, n)
+	}
+}
+
+// TestCloseIdleDispatcher pins shutdown around the blocking receive: an
+// idle dispatcher (parked waiting for the first arrival) stops promptly,
+// and requests pooled behind a batch still executing when Close starts
+// are all executed and answered.
+func TestCloseIdleDispatcher(t *testing.T) {
+	idle := New(&fakeBackend{}, Config{})
+	if err := idle.Submit(oneOp(1), nil); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	idle.Close()
+	if el := time.Since(start); el > time.Second {
+		t.Fatalf("Close on an idle dispatcher took %v", el)
+	}
+
+	be := &gatedBackend{started: make(chan struct{}, 1), release: make(chan struct{})}
+	s := New(be, Config{Workers: 1})
+	const n = 4
+	errs := make(chan error, n)
+	go func() { errs <- s.Submit(oneOp(0), nil) }()
+	<-be.started // request 0 is executing; the dispatcher waits on it
+	for i := uint64(1); i < n; i++ {
+		go func(i uint64) { errs <- s.Submit(oneOp(i), nil) }(i)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for s.accepted.Load() < n {
+		if time.Now().After(deadline) {
+			t.Fatal("requests never admitted")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	closed := make(chan struct{})
+	go func() { s.Close(); close(closed) }()
+	close(be.release)
+	<-closed
+	for i := 0; i < n; i++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("admitted request answered %v", err)
+		}
+	}
+	if got := len(be.executed()); got != n {
+		t.Errorf("executed %d requests, want %d", got, n)
 	}
 }

@@ -6,14 +6,13 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestHTTPFaultFieldValidation pins the 400 surface of the two
 // fault-tolerance wire fields: negative deadlines and oversized request
 // IDs are refused before admission, while boundary-legal values pass.
 func TestHTTPFaultFieldValidation(t *testing.T) {
-	svc := New(&fakeBackend{}, Config{Tick: 200 * time.Microsecond, DedupWindow: 8})
+	svc := New(&fakeBackend{}, Config{DedupWindow: 8})
 	defer svc.Close()
 	ts := httptest.NewServer(Handler(svc))
 	defer ts.Close()
@@ -41,7 +40,7 @@ func TestHTTPFaultFieldValidation(t *testing.T) {
 // the fault-tolerance fields, and the malformed shapes the table tests
 // pin individually.
 func FuzzBatchHandler(f *testing.F) {
-	svc := New(&fakeBackend{}, Config{Tick: 200 * time.Microsecond, DedupWindow: 8})
+	svc := New(&fakeBackend{}, Config{DedupWindow: 8})
 	f.Cleanup(svc.Close)
 	h := Handler(svc)
 
