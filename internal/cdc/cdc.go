@@ -16,6 +16,15 @@
 // numbers starting at 1; per-key order is preserved exactly (a key
 // always maps to the same shard), which is what replay correctness needs.
 //
+// Admission cost. The reorder buffer is only for the exception: a
+// publication whose ticket is the next one due (watermark+1, the common
+// case) is pushed straight from the caller's slice into the shard rings,
+// with no copy and no map traffic. Only an early publication is copied
+// and parked. Reader wake-ups cost nothing when nobody waits: the
+// notify channel is created on demand by Notify and closed (then
+// dropped) by the next admission or by Close, so an admission with no
+// armed reader allocates nothing.
+//
 // Values are absolute. An entry carries the post-state of its key (the
 // value written, or a tombstone), never a delta: replay is idempotent
 // and last-writer-wins, so a follower can bootstrap from a fuzzy
@@ -114,7 +123,7 @@ type Feed struct {
 	watermark uint64 // all tickets <= watermark admitted or skipped
 	pending   map[uint64]pendingTx
 	shards    []ring
-	notify    chan struct{} // closed and replaced on every admission
+	notify    chan struct{} // armed by Notify, closed and dropped at the next admission
 	closed    bool
 
 	published atomic.Uint64
@@ -142,7 +151,6 @@ func New(nshards, ringCap int, shardOf func(key uint64) int) *Feed {
 		shardOf: shardOf,
 		pending: make(map[uint64]pendingTx),
 		shards:  make([]ring, nshards),
-		notify:  make(chan struct{}),
 	}
 	for i := range f.shards {
 		f.shards[i].buf = make([]Entry, ringCap)
@@ -166,31 +174,53 @@ func (f *Feed) DrawTicket() uint64 { return f.next.Add(1) }
 func (f *Feed) CancelTicket(t uint64) {
 	f.cancelled.Add(1)
 	f.mu.Lock()
-	f.pending[t] = pendingTx{cancelled: true}
-	f.drainLocked()
+	if t == f.watermark+1 {
+		f.watermark++
+		if f.drainLocked() {
+			f.wakeLocked()
+		}
+	} else {
+		f.pending[t] = pendingTx{cancelled: true}
+	}
 	f.mu.Unlock()
 }
 
 // Publish hands a committed ticket's writes to the feed, in transaction
-// (op) order. writes is copied; the caller's slice is reusable on
-// return. Publishing admits the ticket once every lower ticket has
-// settled — until then it parks in the reorder buffer.
+// (op) order; the caller's slice is reusable on return. A ticket that is
+// next in line is admitted straight from writes; an early one is copied
+// into the reorder buffer and admitted once every lower ticket has
+// settled.
 func (f *Feed) Publish(ticket uint64, writes []Write) {
 	f.published.Add(1)
-	cp := make([]Write, len(writes))
-	copy(cp, writes)
 	f.mu.Lock()
-	f.pending[ticket] = pendingTx{writes: cp}
-	f.drainLocked()
+	if ticket == f.watermark+1 {
+		f.watermark++
+		f.admitLocked(writes)
+		f.drainLocked()
+		f.wakeLocked()
+	} else {
+		f.pending[ticket] = pendingTx{writes: append([]Write(nil), writes...)}
+	}
 	f.mu.Unlock()
 }
 
-// drainLocked advances the watermark over every contiguously settled
-// ticket, appending published writes to their shards' rings and skipping
-// cancelled holes, then wakes waiting readers if anything was admitted.
-func (f *Feed) drainLocked() {
-	admitted := false
-	for {
+// admitLocked appends the watermark ticket's writes to their shards'
+// rings.
+func (f *Feed) admitLocked(writes []Write) {
+	for _, w := range writes {
+		r := &f.shards[f.shardOf(w.Key)]
+		if r.push(Entry{Key: w.Key, Val: w.Val, Del: w.Del, TxID: f.watermark}) {
+			f.compacted.Add(1)
+		}
+	}
+	f.entries.Add(uint64(len(writes)))
+}
+
+// drainLocked advances the watermark over every parked ticket that is
+// now contiguous, admitting published writes and skipping cancelled
+// holes. It reports whether it admitted any writes.
+func (f *Feed) drainLocked() (admitted bool) {
+	for len(f.pending) > 0 {
 		p, ok := f.pending[f.watermark+1]
 		if !ok {
 			break
@@ -200,18 +230,18 @@ func (f *Feed) drainLocked() {
 		if p.cancelled {
 			continue
 		}
-		for _, w := range p.writes {
-			r := &f.shards[f.shardOf(w.Key)]
-			if r.push(Entry{Key: w.Key, Val: w.Val, Del: w.Del, TxID: f.watermark}) {
-				f.compacted.Add(1)
-			}
-			f.entries.Add(1)
-		}
+		f.admitLocked(p.writes)
 		admitted = true
 	}
-	if admitted {
+	return admitted
+}
+
+// wakeLocked closes the armed notify channel, if any; the next Notify
+// arms a fresh one.
+func (f *Feed) wakeLocked() {
+	if f.notify != nil {
 		close(f.notify)
-		f.notify = make(chan struct{})
+		f.notify = nil
 	}
 }
 
@@ -271,25 +301,36 @@ func (f *Feed) ReadFrom(shard int, from uint64, buf []Entry) ([]Entry, error) {
 	return buf[:n], nil
 }
 
-// Notify returns a channel closed at the next admission (any shard); a
-// caught-up reader selects on it alongside its own cancellation. Each
-// admission replaces the channel, so re-arm by calling again after every
-// wake.
+// Notify returns a channel closed at the next admission (any shard) or
+// at Close; a caught-up reader selects on it alongside its own
+// cancellation. The channel is armed on demand and each wake drops it,
+// so re-arm by calling again after every wake. After Close the returned
+// channel is already closed.
 func (f *Feed) Notify() <-chan struct{} {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if f.closed {
+		return closedChan
+	}
+	if f.notify == nil {
+		f.notify = make(chan struct{})
+	}
 	return f.notify
 }
+
+// closedChan is what Notify hands out once the feed is closed.
+var closedChan = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
 
 // Close wakes all waiting readers; the feed remains readable (drained
 // rings still serve) but Closed reports true so streamers can finish.
 func (f *Feed) Close() {
 	f.mu.Lock()
-	if !f.closed {
-		f.closed = true
-		close(f.notify)
-		f.notify = make(chan struct{})
-	}
+	f.closed = true
+	f.wakeLocked()
 	f.mu.Unlock()
 }
 

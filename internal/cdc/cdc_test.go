@@ -220,3 +220,97 @@ func TestFeedReadFromNilBuf(t *testing.T) {
 		t.Fatalf("ReadFrom(nil buf) = %v, want keys 1, 2", got)
 	}
 }
+
+// raceEnabled is set by race_test.go under -race.
+var raceEnabled bool
+
+// TestPublishInOrderAllocs pins the common admission path at zero
+// allocations: a ticket published as the next one due goes straight from
+// the caller's slice into the rings, and with no armed reader there is no
+// notify channel to replace.
+func TestPublishInOrderAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are not enforced under -race")
+	}
+	f := New(4, 1024, nil)
+	writes := []Write{{Key: 1, Val: 10}, {Key: 2, Val: 20}, {Key: 7, Del: true}}
+	allocs := testing.AllocsPerRun(1000, func() {
+		f.Publish(f.DrawTicket(), writes)
+	})
+	if allocs != 0 {
+		t.Fatalf("in-order Publish allocates %.2f objects, want 0", allocs)
+	}
+	if st := f.Stats(); st.Pending != 0 || st.Entries != 3*st.Published {
+		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestFeedNotifyArmedWakes pins the on-demand notify channel from the
+// reader's side: a channel armed before an admission is closed by it,
+// and a channel armed while caught up is closed by Close.
+func TestFeedNotifyArmedWakes(t *testing.T) {
+	f := New(2, 8, nil)
+	woke := make(chan struct{})
+	ch := f.Notify()
+	go func() {
+		<-ch
+		close(woke)
+	}()
+	f.Publish(f.DrawTicket(), []Write{{Key: 1, Val: 1}})
+	<-woke
+
+	ch = f.Notify()
+	select {
+	case <-ch:
+		t.Fatal("re-armed channel already closed before any admission")
+	default:
+	}
+	woke = make(chan struct{})
+	go func() {
+		<-ch
+		close(woke)
+	}()
+	f.Close()
+	<-woke
+	select {
+	case <-f.Notify():
+	default:
+		t.Fatal("Notify after Close returned an open channel")
+	}
+}
+
+// TestFeedOutOfOrderCopiesWrites pins the reorder buffer's copy: an
+// early publication parks a copy of its writes, so the caller may reuse
+// its slice at once, and admission still follows ticket order.
+func TestFeedOutOfOrderCopiesWrites(t *testing.T) {
+	f := New(1, 16, nil)
+	t1, t2, t3 := f.DrawTicket(), f.DrawTicket(), f.DrawTicket()
+	buf := []Write{{Key: 30, Val: 300}}
+	f.Publish(t3, buf)
+	buf[0] = Write{Key: 20, Val: 200}
+	f.Publish(t2, buf)
+	if st := f.Stats(); st.Pending != 2 {
+		t.Fatalf("pending = %d, want 2 parked publications", st.Pending)
+	}
+	buf[0] = Write{Key: 10, Val: 100}
+	f.Publish(t1, buf)
+	buf[0] = Write{Key: 99, Val: 999}
+
+	got := readAll(t, f, 0, 1)
+	want := []Entry{
+		{Seq: 1, Key: 10, Val: 100, TxID: t1},
+		{Seq: 2, Key: 20, Val: 200, TxID: t2},
+		{Seq: 3, Key: 30, Val: 300, TxID: t3},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("entries = %+v, want %+v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("entry %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	if st := f.Stats(); st.Pending != 0 {
+		t.Fatalf("pending = %d after the hole filled", st.Pending)
+	}
+}

@@ -171,8 +171,14 @@ func TestStatsPlumbing(t *testing.T) {
 	mgr.EnablePooling()
 	sk := fraserskip.New[uint64](mgr)
 	smr := ebr.New(16)
-	var wg sync.WaitGroup
-	for g := 0; g < 3; g++ {
+	// Drain reclaims unconditionally, so it must wait until no worker is
+	// inside a critical section: a drained cell goes back to its arena
+	// while a sibling could still be reading it. Every worker finishes
+	// its loop (ran), then each drains its own handle.
+	const workers = 3
+	var ran, wg sync.WaitGroup
+	ran.Add(workers)
+	for g := 0; g < workers; g++ {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
@@ -190,6 +196,8 @@ func TestStatsPlumbing(t *testing.T) {
 				})
 				h.Exit()
 			}
+			ran.Done()
+			ran.Wait()
 			h.Drain()
 		}(int64(g) + 2)
 	}

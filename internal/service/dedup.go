@@ -24,13 +24,35 @@ import (
 // were never executed (shed, expired, closed) abandon their claim: the
 // entry leaves the map so a later retry registers fresh, and any parked
 // waiters get the disposition error (they will retry and re-register).
+//
+// Entry lifecycle: claim → settle → evict → recycle. claim puts the entry
+// in the map and in the ring slot at head. complete or abandon settles it
+// once, under w.mu. When the ring wraps, the claim that takes the slot
+// evicts the entry there and, if that entry is settled and has never been
+// handed to a retry, reuses it as its own new entry: the id, outcome and
+// state are reset, and the results slice keeps its capacity, so complete
+// appends into it. A warm window therefore claims and settles without
+// allocating.
+//
+// The watched pin is what makes reuse safe. A retry reads the entry's
+// outcome after dropping w.mu (it may first park on the wake channel), so
+// claim marks every entry it hands out as watched, and a watched entry is
+// never reused: on eviction it is dropped and left to the GC. An
+// unwatched entry is referenced only by the window and by its owner
+// request, and the owner stops touching it when it settles. The wake
+// channel costs nothing until a retry parks on an in-flight entry: await
+// creates it under w.mu, and settling closes it under w.mu.
 
 // dedupEntry is one request ID's slot in the window.
 type dedupEntry struct {
-	id   string
-	done chan struct{} // closed when the outcome is published
+	id string
 
-	// Written once before done is closed; read only after.
+	// Guarded by w.mu.
+	wake    chan struct{} // created when a retry parks in flight; closed at settle
+	settled bool
+	watched bool // handed to a retry: never recycled
+
+	// Written once before settled is set; read only after.
 	res      []kv.Result
 	err      error
 	executed bool // false when the claim was abandoned without executing
@@ -72,10 +94,12 @@ func (w *dedupWindow) claim(id string) (mine, prior *dedupEntry) {
 	defer w.mu.Unlock()
 	if e, ok := w.m[id]; ok {
 		w.hits.Add(1)
+		e.watched = true
 		return nil, e
 	}
-	e := &dedupEntry{id: id, done: make(chan struct{})}
+	var e *dedupEntry
 	if len(w.ring) < w.cap {
+		e = &dedupEntry{}
 		w.ring = append(w.ring, e)
 	} else {
 		old := w.ring[w.head]
@@ -85,58 +109,86 @@ func (w *dedupWindow) claim(id string) (mine, prior *dedupEntry) {
 			delete(w.m, old.id)
 			w.evictions.Add(1)
 		}
-		w.ring[w.head] = e
+		if old.settled && !old.watched {
+			e = old
+			*e = dedupEntry{res: e.res[:0]}
+		} else {
+			e = &dedupEntry{}
+			w.ring[w.head] = e
+		}
 		w.head = (w.head + 1) % w.cap
 	}
+	e.id = id
 	w.m[id] = e
 	w.claims.Add(1)
 	return e, nil
 }
 
-// complete settles e with an executed request's outcome. res is copied:
-// the caller's slice is reused by its owner after Submit returns.
+// complete settles e with an executed request's outcome. res is copied
+// (into the entry's retained capacity): the caller's slice is reused by
+// its owner after Submit returns. The caller must not touch e afterwards.
 func (w *dedupWindow) complete(e *dedupEntry, res []kv.Result, err error) {
-	if len(res) > 0 {
-		e.res = make([]kv.Result, len(res))
-		copy(e.res, res)
-	}
+	e.res = append(e.res[:0], res...)
 	e.err = err
 	e.executed = true
-	close(e.done)
+	w.mu.Lock()
+	w.settleLocked(e)
+	w.mu.Unlock()
 	w.completes.Add(1)
 }
 
 // abandon settles e for a request that was never executed (shed, expired,
 // service closed): the ID leaves the map so a later retry claims fresh,
-// and parked waiters wake with the disposition error.
+// and parked waiters wake with the disposition error. The caller must
+// not touch e afterwards.
 func (w *dedupWindow) abandon(e *dedupEntry, err error) {
+	e.err = err
 	w.mu.Lock()
 	if cur, ok := w.m[e.id]; ok && cur == e {
 		delete(w.m, e.id)
 	}
+	w.settleLocked(e)
 	w.mu.Unlock()
-	e.err = err
-	close(e.done)
 	w.abandons.Add(1)
 }
 
-// await parks on a prior claim of the same ID and returns its outcome,
-// copying the original results into res when the prior executed (hit
-// true). stop aborts the wait (service shutdown); a non-zero deadline
-// aborts it at the retry's own deadline with ErrExpired.
-func (e *dedupEntry) await(res []kv.Result, stop <-chan struct{}, deadline time.Time) (hit bool, err error) {
-	var timeout <-chan time.Time
-	if !deadline.IsZero() {
-		t := time.NewTimer(time.Until(deadline))
-		defer t.Stop()
-		timeout = t.C
+// settleLocked publishes e's outcome and wakes any parked retries.
+func (w *dedupWindow) settleLocked(e *dedupEntry) {
+	e.settled = true
+	if e.wake != nil {
+		close(e.wake)
 	}
-	select {
-	case <-e.done:
-	case <-stop:
-		return false, ErrClosed
-	case <-timeout:
-		return false, ErrExpired
+}
+
+// await parks on a prior claim of the same ID (as returned by claim) and
+// returns its outcome, copying the original results into res when the
+// prior executed (hit true). stop aborts the wait (service shutdown); a
+// non-zero deadline aborts it at the retry's own deadline with
+// ErrExpired.
+func (w *dedupWindow) await(e *dedupEntry, res []kv.Result, stop <-chan struct{}, deadline time.Time) (hit bool, err error) {
+	var wake chan struct{}
+	w.mu.Lock()
+	if !e.settled {
+		if e.wake == nil {
+			e.wake = make(chan struct{})
+		}
+		wake = e.wake
+	}
+	w.mu.Unlock()
+	if wake != nil {
+		var timeout <-chan time.Time
+		if !deadline.IsZero() {
+			t := time.NewTimer(time.Until(deadline))
+			defer t.Stop()
+			timeout = t.C
+		}
+		select {
+		case <-wake:
+		case <-stop:
+			return false, ErrClosed
+		case <-timeout:
+			return false, ErrExpired
+		}
 	}
 	if !e.executed {
 		return false, e.err

@@ -116,15 +116,25 @@ type request struct {
 	ent      *dedupEntry
 }
 
+// requestPool recycles requests together with their buffered done
+// channels, so a steady-state Submit allocates no promise. The invariant
+// that makes recycling safe: no dispatcher or worker code touches a
+// request after sending on its done channel (finishExecuted and
+// finishExpired send last). A submitter therefore owns its request again
+// once it has received from done, and returns it to the pool only then
+// — or on the shed path, where the request was never admitted.
+var requestPool = sync.Pool{New: func() any { return &request{done: make(chan error, 1)} }}
+
+// putRequest clears r, keeping its done channel, and returns it to
+// requestPool.
+func putRequest(r *request) {
+	*r = request{done: r.done}
+	requestPool.Put(r)
+}
+
 // expired reports whether the request's deadline passed as of now.
 func (r *request) expired(now time.Time) bool {
 	return !r.deadline.IsZero() && now.After(r.deadline)
-}
-
-// chunk is one worker's contiguous slice of a batch.
-type chunk struct {
-	reqs []*request
-	wg   *sync.WaitGroup
 }
 
 // Service is the running pipeline. Create with New, stop with Close.
@@ -133,12 +143,13 @@ type Service struct {
 	cfg Config
 
 	pool    chan *request
-	workers []chan chunk
+	workers []chan []*request // one contiguous chunk of a batch per send
 	stopCh  chan struct{}
 	loopWG  sync.WaitGroup
 	workWG  sync.WaitGroup
 	stopBE  func()
-	window  *dedupWindow // nil when deduplication is disabled
+	window  *dedupWindow   // nil when deduplication is disabled
+	batchWG sync.WaitGroup // chunks of the drain in progress; drains never overlap
 
 	// mu gates admission against Close: Submit holds the read side across
 	// the closed check and the pool send, Close takes the write side to
@@ -182,9 +193,9 @@ func newService(be Backend, cfg Config) *Service {
 		window: newDedupWindow(cfg.DedupWindow),
 	}
 	s.stopBE = be.Start()
-	s.workers = make([]chan chunk, cfg.Workers)
+	s.workers = make([]chan []*request, cfg.Workers)
 	for i := range s.workers {
-		ch := make(chan chunk, 1)
+		ch := make(chan []*request, 1)
 		s.workers[i] = ch
 		s.workWG.Add(1)
 		go s.worker(ch)
@@ -242,7 +253,7 @@ func (s *Service) SubmitCtx(ctx context.Context, id string, ops []kv.Op, res []k
 		if prior != nil {
 			stop := s.stopCh
 			s.mu.RUnlock()
-			hit, err := prior.await(res, stop, deadline)
+			hit, err := s.window.await(prior, res, stop, deadline)
 			if hit {
 				s.dedupHits.Add(1)
 			} else if errors.Is(err, ErrExpired) {
@@ -252,7 +263,8 @@ func (s *Service) SubmitCtx(ctx context.Context, id string, ops []kv.Op, res []k
 		}
 		ent = mine
 	}
-	req := &request{ops: ops, res: res, done: make(chan error, 1), deadline: deadline, ent: ent}
+	req := requestPool.Get().(*request)
+	req.ops, req.res, req.deadline, req.ent = ops, res, deadline, ent
 	select {
 	case s.pool <- req:
 		s.accepted.Add(1)
@@ -262,14 +274,17 @@ func (s *Service) SubmitCtx(ctx context.Context, id string, ops []kv.Op, res []k
 			s.window.abandon(ent, ErrShed)
 		}
 		s.mu.RUnlock()
+		putRequest(req)
 		return ErrShed
 	}
 	s.mu.RUnlock()
-	return <-req.done
+	err := <-req.done
+	putRequest(req)
+	return err
 }
 
 // finishExecuted settles a request that ran: counters, dedup window,
-// promise.
+// promise. The send on done is its last touch of r (see requestPool).
 func (s *Service) finishExecuted(r *request, err error) {
 	if err != nil {
 		s.errored.Add(1)
@@ -284,7 +299,8 @@ func (s *Service) finishExecuted(r *request, err error) {
 
 // finishExpired settles a request dropped, unexecuted, at its deadline.
 // The dedup claim is abandoned — nothing executed, so a retry with the
-// same ID must claim fresh and actually run.
+// same ID must claim fresh and actually run. The send on done is its
+// last touch of r (see requestPool).
 func (s *Service) finishExpired(r *request) {
 	s.expired.Add(1)
 	if r.ent != nil {
@@ -349,7 +365,6 @@ drain:
 	// Contiguous chunks, round-robin over workers: request order within a
 	// chunk is pool (FIFO) order, so single-worker configurations preserve
 	// submission order end to end.
-	var wg sync.WaitGroup
 	n := len(s.workers)
 	per := (len(batch) + n - 1) / n
 	for i := 0; i < len(batch); i += per {
@@ -357,10 +372,10 @@ drain:
 		if end > len(batch) {
 			end = len(batch)
 		}
-		wg.Add(1)
-		s.workers[(i/per)%n] <- chunk{reqs: batch[i:end], wg: &wg}
+		s.batchWG.Add(1)
+		s.workers[(i/per)%n] <- batch[i:end]
 	}
-	wg.Wait()
+	s.batchWG.Wait()
 	sample := int64(time.Since(now)) / int64(len(batch))
 	if old := s.perReqNs.Load(); old != 0 {
 		sample = old + (sample-old)/8
@@ -375,7 +390,7 @@ drain:
 // Medley store path), a multi-request chunk is handed over as one group
 // so compatible neighbors merge into a single physical commit; outcomes
 // are exactly those of the per-request loop.
-func (s *Service) worker(ch chan chunk) {
+func (s *Service) worker(ch chan []*request) {
 	defer s.workWG.Done()
 	ex := s.be.NewExecutor()
 	if s.cfg.Feed != nil {
@@ -387,14 +402,14 @@ func (s *Service) worker(ch chan chunk) {
 	var batches []kv.Batch
 	var errs []error
 	var live []*request
-	for c := range ch {
+	for chunk := range ch {
 		// Last deadline check, immediately before execution: a request can
 		// expire between the drain and its worker slot, and once the
 		// transaction starts it is not cancellable — this is the final
 		// point where "expired" can still mean "never executed".
 		now := time.Now()
 		live = live[:0]
-		for _, r := range c.reqs {
+		for _, r := range chunk {
 			if r.expired(now) {
 				s.finishExpired(r)
 				continue
@@ -402,7 +417,7 @@ func (s *Service) worker(ch chan chunk) {
 			live = append(live, r)
 		}
 		if len(live) == 0 {
-			c.wg.Done()
+			s.batchWG.Done()
 			continue
 		}
 		if canGroup && len(live) > 1 {
@@ -419,13 +434,13 @@ func (s *Service) worker(ch chan chunk) {
 			for i, r := range live {
 				s.finishExecuted(r, errs[i])
 			}
-			c.wg.Done()
+			s.batchWG.Done()
 			continue
 		}
 		for _, r := range live {
 			s.finishExecuted(r, ex.ExecBatch(r.ops, r.res))
 		}
-		c.wg.Done()
+		s.batchWG.Done()
 	}
 }
 
